@@ -8,7 +8,11 @@
     fewest-embeddings-first order, branches in cheapest-delta-first
     order, pruning on the running cost. The paper-scale designs are
     solved exactly; a node budget caps the search on large generated
-    designs (the [exact] flag reports which happened). *)
+    designs (the [exact] flag reports which happened). Registers are
+    numbered once before the search; role counts, the per-(register,
+    style) gate table with the io penalty folded in, and each unit's
+    candidate embeddings (packed as int triples) are flat arrays, so a
+    node costs a handful of array updates. *)
 
 type solution = {
   embeddings : Bistpath_ipath.Ipath.embedding list;  (** one per testable unit *)

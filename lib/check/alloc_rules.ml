@@ -319,7 +319,7 @@ let bist005 ctx =
       else
         let predicted =
           Cbilbo_rules.forced
-            (Cbilbo_rules.check_module sctx ctx.massign ctx.dfg ~mid ~classes)
+            (Cbilbo_rules.check_module sctx ~mid ~classes)
         in
         let ground =
           Ipath.cbilbo_unavoidable ~transparency:ctx.transparency ctx.datapath mid

@@ -22,7 +22,10 @@ type trace_step = {
   vertex : string;
   chosen : string;  (** register id *)
   fresh : bool;  (** a new register was opened *)
-  reason : string;  (** "delta-sd", "case1", "case2", "conflict-all" *)
+  reason : string;
+      (** "delta-sd" (largest Delta-SD), "case-preference" (a Case 1 or
+          Case 2 register with a higher final SD overrode it) or
+          "conflict-all" (every register conflicts: a fresh one) *)
 }
 
 val allocate :
@@ -33,4 +36,10 @@ val allocate :
   Bistpath_datapath.Regalloc.t * trace_step list
 (** The assignment plus a decision trace (used to regenerate the paper's
     Section III walkthrough). Registers are named in creation order
-    R1..Rk. Deterministic. *)
+    R1..Rk. Deterministic.
+
+    Variables, units and registers are numbered once and the search keeps
+    per-(register, unit) hit counts and Lemma-2 summaries up to date as
+    variables are placed, so ranking a candidate costs O(units) and the
+    CBILBO-avoidance filter re-evaluates only the units whose I/O sets
+    hold the variable being placed (counted as [regalloc.lemma2_evals]). *)

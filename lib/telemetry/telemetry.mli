@@ -29,6 +29,10 @@
       candidate registers.
     - [regalloc.cbilbo_avoided] — candidate registers discarded because
       the merge would create a Lemma-2 CBILBO situation.
+    - [regalloc.lemma2_evals] — module-level Lemma-2 re-evaluations by
+      the CBILBO-avoidance filter (only units whose I/O sets hold the
+      variable being placed are re-evaluated, per candidate and per
+      placement).
     - [interconnect.orientations] — operand-orientation assignments
       scored by the interconnect optimizer.
     - [bist.units] — functional units considered by the BIST allocator.
